@@ -1,11 +1,12 @@
 """Where benchmark result files (``BENCH_*.json``) are written.
 
-Historically every benchmark wrote its JSON next to the repository root.
-That remains the default, but ``REPRO_BENCH_DIR`` redirects the whole suite —
-CI jobs point it at a scratch directory they upload as an artifact, and local
-runs can keep experiment records out of the working tree::
+By default every benchmark writes its JSON under ``.bench_build/results/`` in
+the repository (ignored by git), so a plain test run never rewrites the
+tracked records.  ``REPRO_BENCH_DIR`` redirects the whole suite — CI jobs
+point it at a scratch directory they upload as an artifact, and a deliberate
+run updates the tracked records at the repository root::
 
-    REPRO_BENCH_DIR=/tmp/bench PYTHONPATH=src python -m pytest benchmarks/
+    REPRO_BENCH_DIR=. PYTHONPATH=src python -m pytest benchmarks/
 
 The directory is created on first use.  Relative paths resolve against the
 current working directory.
@@ -17,12 +18,13 @@ import os
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+_DEFAULT_DIR = _REPO_ROOT / ".bench_build" / "results"
 
 
 def bench_dir() -> Path:
-    """The directory results go to: ``$REPRO_BENCH_DIR`` or the repo root."""
+    """The directory results go to: ``$REPRO_BENCH_DIR`` or ``.bench_build/results``."""
     override = os.environ.get("REPRO_BENCH_DIR", "").strip()
-    return Path(override).resolve() if override else _REPO_ROOT
+    return Path(override).resolve() if override else _DEFAULT_DIR
 
 
 def results_path(name: str) -> Path:

@@ -12,8 +12,8 @@ quadratic wall rises while the banded search stays near-linear.
 The sketch is provisioned sparse (a large shared array relative to the item
 load, as a service sized for growth would be): banding recall is governed by
 the per-bit xor load, so the fill fraction is the knob that trades memory for
-candidate quality.  Results go to ``BENCH_candidates.json`` at the repository
-root.  Set ``REPRO_CANDIDATES_BENCH_USERS`` to shrink the largest pool (CI
+candidate quality.  Results go to ``BENCH_candidates.json`` in the bench
+directory (:mod:`bench_paths`).  Set ``REPRO_CANDIDATES_BENCH_USERS`` to shrink the largest pool (CI
 smoke mode writes ``BENCH_candidates_smoke.json`` instead so a shrunken run
 never clobbers the full-pool record).
 """

@@ -16,7 +16,8 @@ lightly mutated clone-pair pool (20k users by default):
   and faster end-to-end (load + query) than the same restart without the
   persisted index.
 
-Results go to ``BENCH_restart.json`` at the repository root.  Set
+Results go to ``BENCH_restart.json`` in the bench directory
+(:mod:`bench_paths`).  Set
 ``REPRO_RESTART_BENCH_USERS`` to shrink the pool (CI smoke mode writes
 ``BENCH_restart_smoke.json`` instead so a shrunken run never clobbers the
 full-pool record).

@@ -10,9 +10,9 @@ environment variables:
   (default 12,288 MB; the full 1M-user run is expected well below it)
 
 The full run (``REPRO_SOAK_USERS=1000000 REPRO_SOAK_ELEMENTS=100000000``)
-writes ``BENCH_scale.json`` at the repository root; anything smaller is smoke
-mode and writes ``BENCH_scale_smoke.json`` so CI never clobbers the full-run
-record.  One module-scoped fixture performs the whole sequence —
+writes ``BENCH_scale.json`` to the bench directory (:mod:`bench_paths`);
+anything smaller is smoke mode and writes ``BENCH_scale_smoke.json`` so CI
+never clobbers the full-run record.  One module-scoped fixture performs the whole sequence —
 
 1. columnar ingest of the synthetic stream (throughput, timed),
 2. a full snapshot (``save``, bytes + seconds),

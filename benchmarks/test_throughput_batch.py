@@ -3,8 +3,9 @@
 This is the service subsystem's headline number — the batched fast path must
 ingest a 100k-element fully dynamic stream at least 10x faster than the
 per-element loop while producing *bit-identical* shared-array state.  The
-measured figures are written to ``BENCH_throughput.json`` at the repository
-root so the performance trajectory accumulates across PRs.
+measured figures are written to ``BENCH_throughput.json`` in the bench
+directory (:mod:`bench_paths`); ``REPRO_BENCH_DIR=.`` updates the tracked
+record.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``)::
 
 Service commands (the :mod:`repro.service` subsystem)::
 
-    repro ingest --stream edges.vosstream --snapshot state.vos --shards 4 --workers 4
+    repro ingest --stream edges.vosstream --snapshot state.vos --shards 4
     repro convert --input edges.txt --output edges.vosstream
     repro topk --snapshot state.vos --user 17 -k 10 --index lsh
     repro pairs --snapshot state.vos -k 10 --prefilter 0.2 --index lsh
@@ -37,14 +37,14 @@ Service commands (the :mod:`repro.service` subsystem)::
 ``ingest`` reads a stream file — the plain-text format (``<action> <user>
 <item>`` per line) or the binary columnar ``.vosstream`` format, auto-detected
 (see :mod:`repro.streams.io`) — feeds it through the sharded batch-vectorized
-VOS service (``--workers N`` ingests shard sub-batches concurrently) and
-snapshots the resulting sketch state; ``convert`` translates a stream between
-the two formats; ``topk`` answers nearest-neighbour queries against a snapshot
-without re-reading the stream; ``pairs`` runs the vectorized top-k similar-pair
-search (with the optional cardinality pre-filter) over a snapshot; ``--index
-lsh`` on either query routes candidate generation through the LSH banding
-index (:mod:`repro.index`) instead of enumerating every pair — the band seeds
-flow from the snapshot's sketch seed, so results are reproducible across runs;
+VOS service and snapshots the resulting sketch state; ``convert`` translates
+a stream between the two formats; ``topk`` answers nearest-neighbour queries
+against a snapshot without re-reading the stream; ``pairs`` runs the
+vectorized top-k similar-pair search (with the optional cardinality
+pre-filter) over a snapshot; ``--index lsh`` on either query routes candidate
+generation through the LSH banding index (:mod:`repro.index`) instead of
+enumerating every pair — the band seeds flow from the snapshot's sketch seed,
+so results are reproducible across runs;
 ``index build`` / ``index stats`` report the banding layout, signature memory
 and candidate-reduction numbers for a snapshot; ``shards`` measures the
 cross-shard estimator's accuracy against single-array VOS across shard counts.
@@ -289,8 +289,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         seed=args.seed,
         batch_size=args.batch_size,
-        workers=args.procs if args.procs > 0 else args.workers,
-        worker_mode="process" if args.procs > 0 else "thread",
     )
     service = SimilarityService.from_config(config)
     report = service.ingest(source)
@@ -300,8 +298,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
         ["stream", stream_name],
         ["elements", report.elements],
         ["batches", report.batches],
-        ["workers", report.workers],
-        ["mode", report.mode],
         ["elements/sec", round(report.elements_per_second)],
         ["assemble sec", round(report.assemble_seconds, 4)],
         ["process sec", round(report.process_seconds, 4)],
@@ -674,7 +670,7 @@ def _exercise_metrics(args: argparse.Namespace) -> SimilarityService:
     index.  Everything runs in this process, so the printed registry holds
     exactly what these operations emitted.
     """
-    service = SimilarityService.load(args.snapshot, workers=args.workers)
+    service = SimilarityService.load(args.snapshot)
     if getattr(args, "stream", None):
         service.ingest(iter_stream_batches(args.stream))
     if len(service.sketch.users()) >= 2:
@@ -1081,19 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=8192, help="ingest batch size"
     )
     ingest_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker threads for concurrent per-shard ingest (1 = serial)",
-    )
-    ingest_parser.add_argument(
-        "--procs",
-        type=int,
-        default=0,
-        help="worker processes for true multi-core per-shard ingest "
-        "(overrides --workers; 0 = use threads)",
-    )
-    ingest_parser.add_argument(
         "--format",
         choices=("auto", "text", "binary"),
         default="auto",
@@ -1262,9 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--snapshot", required=True, help="snapshot file to load")
         sub.add_argument("--stream", help="optional stream file to ingest first")
         sub.add_argument("-k", type=int, default=10, help="top-k pairs to query")
-        sub.add_argument(
-            "--workers", type=int, default=1, help="ingest worker threads"
-        )
         if name == "show":
             sub.add_argument("--csv", action="store_true")
             sub.set_defaults(handler=_cmd_metrics_show)

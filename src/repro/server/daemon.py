@@ -575,7 +575,6 @@ class ServingDaemon:
             "elements": report.elements,
             "batches": report.batches,
             "seconds": report.seconds,
-            "mode": report.mode,
             "users": len(self._writer.sketch.users()),
         }
 

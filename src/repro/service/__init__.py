@@ -35,8 +35,6 @@ from repro.service.journal import (
     read_journal,
     replay_journal,
 )
-from repro.service.parallel import ShardParallelIngestor
-from repro.service.procpool import ProcessShardIngestor
 from repro.service.service import CheckpointPolicy, ServiceConfig, SimilarityService
 from repro.service.sharding import ShardedVOS
 from repro.service.snapshot import (
@@ -48,7 +46,6 @@ from repro.service.snapshot import (
     loads_snapshot_state,
     register_snapshot_section,
     save_snapshot,
-    shard_snapshots,
     snapshot_info,
 )
 
@@ -58,8 +55,6 @@ __all__ = [
     "ingest_stream",
     "iter_batches",
     "ShardedVOS",
-    "ShardParallelIngestor",
-    "ProcessShardIngestor",
     "CheckpointPolicy",
     "ServiceConfig",
     "SimilarityService",
@@ -70,7 +65,6 @@ __all__ = [
     "load_snapshot_state",
     "loads_snapshot_state",
     "register_snapshot_section",
-    "shard_snapshots",
     "snapshot_info",
     "SnapshotState",
     "JournalConfig",

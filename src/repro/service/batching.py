@@ -1,4 +1,4 @@
-"""Array-native batch assembly and timed (optionally parallel) batch ingest.
+"""Array-native batch assembly and timed batch ingest.
 
 The service layer never feeds sketches element by element: stream input is
 chopped into :class:`~repro.streams.batch.ElementBatch` columns and handed to
@@ -10,10 +10,8 @@ operations.  This module owns the two pieces every caller needs:
   (e.g. :func:`~repro.streams.io.iter_stream_batches` straight off a
   ``.vosstream`` file) or single batch into ``ElementBatch`` chunks of a
   fixed maximum size;
-* :func:`ingest_stream` — drive a sketch over a whole stream batch-by-batch —
-  serially, or concurrently across shards via
-  :class:`~repro.service.parallel.ShardParallelIngestor` when ``workers > 1``
-  — and return an :class:`IngestReport` with per-phase timings.
+* :func:`ingest_stream` — drive a sketch over a whole stream batch-by-batch
+  and return an :class:`IngestReport` with per-phase timings.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from dataclasses import dataclass
 from repro.baselines.base import SimilaritySketch
 from repro.exceptions import ConfigurationError
 from repro.obs import get_registry, timed
-from repro.service.parallel import ShardParallelIngestor
-from repro.service.procpool import ProcessShardIngestor
-from repro.service.sharding import ShardedVOS
 from repro.streams.batch import ElementBatch
 from repro.streams.edge import StreamElement
 
@@ -91,16 +86,7 @@ class IngestReport:
         Time spent pulling/columnarizing batches from the source (stream
         parsing, list-to-column conversion).
     process_seconds:
-        Time spent inside ``process_batch`` (serial) or routing + waiting on
-        the shard workers (parallel).
-    workers:
-        Workers that ingested shard sub-batches (1 = serial).
-    mode:
-        How the batches were processed: ``"serial"`` (caller's thread),
-        ``"thread"`` (shard worker threads) or ``"process"`` (per-shard
-        worker processes).  A parallel request that fell back — one shard,
-        one effective worker, a single-core host — reports the mode that
-        actually ran.
+        Time spent inside ``process_batch``.
 
     All timings are sums of the per-batch ``repro.obs`` spans
     (``ingest.run``/``ingest.assemble``/``ingest.process``), so when the
@@ -113,8 +99,6 @@ class IngestReport:
     seconds: float
     assemble_seconds: float = 0.0
     process_seconds: float = 0.0
-    workers: int = 1
-    mode: str = "serial"
 
     @property
     def elements_per_second(self) -> float:
@@ -129,82 +113,30 @@ def ingest_stream(
     source: Iterable[StreamElement] | Iterable[ElementBatch] | ElementBatch,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-    worker_mode: str = "thread",
 ) -> IngestReport:
-    """Feed ``source`` to ``sketch`` in batches and report per-phase throughput.
-
-    With ``workers > 1`` and a multi-shard :class:`ShardedVOS`, each batch is
-    routed once on the calling thread and its per-shard sub-batches are
-    ingested concurrently — state-identical to serial ingest (per-shard
-    element order is preserved).  ``worker_mode`` selects the executor:
-
-    * ``"thread"`` (default) — :class:`ShardParallelIngestor` worker threads,
-      which overlap only inside GIL-releasing numpy kernels and fall back to
-      serial on single-core hosts;
-    * ``"process"`` — :class:`~repro.service.procpool.ProcessShardIngestor`
-      worker processes owning contiguous shard ranges, for true multi-core
-      scaling (state is shipped out and the dirty deltas merged back, so the
-      caller's sketch — including its dirty tracking — ends up exactly as if
-      it had ingested serially).
-
-    Sketches without independent shards ignore ``workers`` and ingest
-    serially; :attr:`IngestReport.mode` records what actually ran.
-    """
-    if workers <= 0:
-        raise ConfigurationError(f"workers must be positive, got {workers}")
-    if worker_mode not in ("thread", "process"):
-        raise ConfigurationError(
-            f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
-        )
-    ingestor: ShardParallelIngestor | ProcessShardIngestor | None = None
-    mode = "serial"
-    if isinstance(sketch, ShardedVOS):
-        if worker_mode == "process":
-            # One process worker is still the process path (the scaling bench
-            # measures it); only a shard-less sketch falls back to serial.
-            ingestor = ProcessShardIngestor(sketch, workers)
-            mode = "process"
-        elif workers > 1 and sketch.num_shards > 1:
-            ingestor = ShardParallelIngestor(sketch, workers)
-            if ingestor.workers > 1:
-                mode = "thread"
-            else:
-                # Single-core fallback: the ingestor processes inline.
-                mode = "serial"
+    """Feed ``source`` to ``sketch`` in batches and report per-phase throughput."""
     registry = get_registry()
     assemble = process = 0.0
     total = 0
     batches = 0
     iterator = iter_batches(source, batch_size)
     with timed("ingest.run", registry) as run_span:
-        try:
-            while True:
-                with timed("ingest.assemble", registry) as span:
-                    batch = next(iterator, None)
-                assemble += span.seconds
-                if batch is None:
-                    break
-                with timed("ingest.process", registry) as span:
-                    if ingestor is not None:
-                        total += ingestor.submit(batch)
-                    else:
-                        total += sketch.process_batch(batch)
-                process += span.seconds
-                batches += 1
-        finally:
-            if ingestor is not None:
-                with timed("ingest.process", registry) as span:
-                    ingestor.close()
-                process += span.seconds
+        while True:
+            with timed("ingest.assemble", registry) as span:
+                batch = next(iterator, None)
+            assemble += span.seconds
+            if batch is None:
+                break
+            with timed("ingest.process", registry) as span:
+                total += sketch.process_batch(batch)
+            process += span.seconds
+            batches += 1
     report = IngestReport(
         elements=total,
         batches=batches,
         seconds=run_span.seconds,
         assemble_seconds=assemble,
         process_seconds=process,
-        workers=ingestor.workers if ingestor is not None else 1,
-        mode=mode,
     )
     if registry.enabled:
         registry.inc("ingest.elements", total, unit="elements")

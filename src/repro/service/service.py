@@ -82,7 +82,7 @@ class CheckpointPolicy:
     Both knobs are off (0) by default, so persistence stays fully manual
     unless configured.  Policy checks run after every :meth:`~SimilarityService.ingest`
     call — never mid-batch, so a checkpoint always captures a batch-consistent
-    state (and never races parallel shard workers).
+    state.
 
     Parameters
     ----------
@@ -126,13 +126,6 @@ class ServiceConfig:
     size_multiplier: float = 2.0
     seed: int = 0
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Workers for concurrent per-shard ingest (1 = serial).  Parallel
-    #: ingest is state-identical to serial ingest; it only changes wall-clock.
-    workers: int = 1
-    #: Parallel ingest executor: ``"thread"`` (GIL-bound worker threads, fall
-    #: back to serial on one core) or ``"process"`` (per-shard worker
-    #: processes over shared memory — true multi-core scaling).
-    worker_mode: str = "thread"
     #: Per-shard capacity of the packed-row LRU cache used by the bulk query
     #: path (hot users' recovered virtual sketches); 0 disables caching.
     sketch_cache_size: int = 1024
@@ -172,12 +165,6 @@ class SimilarityService:
         (recommended) or a plain :class:`~repro.core.vos.VirtualOddSketch`.
     batch_size:
         Batch size used by :meth:`ingest`.
-    workers:
-        Workers for concurrent per-shard ingest (1 = serial).  Ignored by
-        sketches without independent shards.
-    worker_mode:
-        ``"thread"`` (default) or ``"process"`` — see
-        :func:`~repro.service.batching.ingest_stream`.
     """
 
     def __init__(
@@ -185,24 +172,14 @@ class SimilarityService:
         sketch: ShardedVOS | VirtualOddSketch,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        workers: int = 1,
-        worker_mode: str = "thread",
         index_config: IndexConfig | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         journal_config: JournalConfig | None = None,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-        if workers <= 0:
-            raise ConfigurationError(f"workers must be positive, got {workers}")
-        if worker_mode not in ("thread", "process"):
-            raise ConfigurationError(
-                f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
-            )
         self._sketch = sketch
         self._batch_size = batch_size
-        self._workers = workers
-        self._worker_mode = worker_mode
         self._journal_config = (
             journal_config if journal_config is not None else JournalConfig()
         )
@@ -240,8 +217,6 @@ class SimilarityService:
         return cls(
             sketch,
             batch_size=config.batch_size,
-            workers=config.workers,
-            worker_mode=config.worker_mode,
             index_config=config.index,
             checkpoint_policy=config.checkpoint,
             journal_config=config.journal,
@@ -255,17 +230,9 @@ class SimilarityService:
         """Consume stream input in vectorized batches; returns throughput.
 
         Accepts element iterables and :class:`~repro.streams.batch.ElementBatch`
-        iterables alike (e.g. the chunked ``.vosstream`` reader).  With
-        ``workers > 1`` the per-shard sub-batches of every batch are ingested
-        concurrently — state-identical to serial ingest.
+        iterables alike (e.g. the chunked ``.vosstream`` reader).
         """
-        report = ingest_stream(
-            self._sketch,
-            elements,
-            batch_size=self._batch_size,
-            workers=self._workers,
-            worker_mode=self._worker_mode,
-        )
+        report = ingest_stream(self._sketch, elements, batch_size=self._batch_size)
         self._elements_ingested += report.elements
         self._batches_ingested += report.batches
         self._elements_since_checkpoint += report.elements
@@ -404,8 +371,6 @@ class SimilarityService:
             "elements_ingested": self._elements_ingested,
             "batches_ingested": self._batches_ingested,
             "batch_size": self._batch_size,
-            "workers": self._workers,
-            "worker_mode": self._worker_mode,
             "users": len(sketch.users()),
             "memory_bits": sketch.memory_bits(),
             "beta": sketch.beta,
@@ -766,8 +731,6 @@ class SimilarityService:
         path: str | Path,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        workers: int = 1,
-        worker_mode: str = "thread",
         index_config: IndexConfig | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         journal: str | Path | None = "auto",
@@ -838,8 +801,6 @@ class SimilarityService:
         service = cls(
             state.sketch,
             batch_size=batch_size,
-            workers=workers,
-            worker_mode=worker_mode,
             index_config=index_config,
             checkpoint_policy=checkpoint_policy,
             journal_config=journal_config,

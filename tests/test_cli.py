@@ -162,8 +162,8 @@ class TestServiceCommands:
         assert "not found" in capsys.readouterr().err
 
 
-class TestConvertAndParallelIngest:
-    """``repro convert`` and the ingest ``--workers`` / ``--format`` flags."""
+class TestConvertAndBinaryIngest:
+    """``repro convert`` and ingest of its ``--format binary`` output."""
 
     @pytest.fixture()
     def text_stream_file(self, tmp_path, small_dynamic_stream):
@@ -203,7 +203,7 @@ class TestConvertAndParallelIngest:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_parallel_ingest_matches_serial_snapshot(
+    def test_binary_ingest_matches_text_snapshot(
         self, text_stream_file, tmp_path, capsys
     ):
         from repro.service.snapshot import load_snapshot
@@ -213,11 +213,11 @@ class TestConvertAndParallelIngest:
             ["convert", "--input", str(text_stream_file), "--output", str(binary)]
         ) == 0
 
-        serial_snapshot = tmp_path / "serial.vos"
-        parallel_snapshot = tmp_path / "parallel.vos"
+        text_snapshot = tmp_path / "text.vos"
+        binary_snapshot = tmp_path / "binary.vos"
         for snapshot, stream, extra in (
-            (serial_snapshot, text_stream_file, []),
-            (parallel_snapshot, binary, ["--workers", "4", "--format", "binary"]),
+            (text_snapshot, text_stream_file, []),
+            (binary_snapshot, binary, ["--format", "binary"]),
         ):
             code = main(
                 [
@@ -235,26 +235,13 @@ class TestConvertAndParallelIngest:
 
         import numpy as np
 
-        serial = load_snapshot(serial_snapshot)
-        parallel = load_snapshot(parallel_snapshot)
-        for shard_a, shard_b in zip(serial.shards, parallel.shards):
+        from_text = load_snapshot(text_snapshot)
+        from_binary = load_snapshot(binary_snapshot)
+        for shard_a, shard_b in zip(from_text.shards, from_binary.shards):
             assert np.array_equal(
                 shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
             )
             assert shard_a._cardinalities == shard_b._cardinalities
-
-    def test_ingest_reports_workers(self, text_stream_file, tmp_path, capsys):
-        snapshot = tmp_path / "state.vos"
-        code = main(
-            [
-                "ingest",
-                "--stream", str(text_stream_file),
-                "--snapshot", str(snapshot),
-                "--workers", "2",
-            ]
-        )
-        assert code == 0
-        assert "workers" in capsys.readouterr().out
 
     def test_no_validate_ingest_streams_chunks_and_matches(
         self, text_stream_file, tmp_path, capsys
@@ -272,7 +259,7 @@ class TestConvertAndParallelIngest:
         streamed = tmp_path / "streamed.vos"
         for snapshot, extra in (
             (validated, []),
-            (streamed, ["--no-validate", "--workers", "2"]),
+            (streamed, ["--no-validate"]),
         ):
             assert main(
                 [

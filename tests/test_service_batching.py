@@ -19,17 +19,23 @@ from repro.similarity.engine import build_sketch, sketch_registry
 from repro.streams.edge import Action, StreamElement
 
 
-@pytest.fixture(autouse=True)
-def _multicore(monkeypatch):
-    """Pretend the host has cores so `workers > 1` exercises the threaded
-    path instead of the single-core serial fallback."""
-    monkeypatch.setattr("repro.service.parallel._cpu_count", lambda: 8)
-
-
 @pytest.fixture(scope="module")
 def parity_stream(small_dynamic_stream):
     """A 5k-element fully dynamic stream shared by the parity tests."""
     return small_dynamic_stream.prefix(5000)
+
+
+def _object_id_stream():
+    """String user and item ids, with deletions, spread over every shard."""
+    inserts = [
+        StreamElement(f"user-{i % 7}", f"item-{i % 13}", Action.INSERT)
+        for i in range(200)
+    ]
+    deletes = [
+        StreamElement(f"user-{i % 7}", f"item-{i % 13}", Action.DELETE)
+        for i in range(0, 200, 3)
+    ]
+    return inserts + deletes
 
 
 def _sample_pairs(sketch, limit=15):
@@ -104,16 +110,20 @@ class TestBatchParityEverySketch:
         assert reference.shared_array.ones_count == batched.shared_array.ones_count
         assert reference._cardinalities == batched._cardinalities
 
-    def test_sharded_vos_bit_exact(self, parity_stream):
+    @pytest.mark.parametrize("ids", ["int", "object"])
+    def test_sharded_vos_bit_exact(self, ids, parity_stream):
+        """Integer and string (``object``) id columns route identically."""
+        stream = parity_stream if ids == "int" else _object_id_stream()
         reference = ShardedVOS(4, 4096, 128, seed=9)
         batched = ShardedVOS(4, 4096, 128, seed=9)
-        for element in parity_stream:
+        for element in stream:
             reference.process(element)
-        ingest_stream(batched, parity_stream, batch_size=512)
+        ingest_stream(batched, stream, batch_size=64)
         for shard_a, shard_b in zip(reference.shards, batched.shards):
             assert np.array_equal(
                 shard_a.shared_array._bits._bits, shard_b.shared_array._bits._bits
             )
+            assert shard_a.shared_array.ones_count == shard_b.shared_array.ones_count
             assert shard_a._cardinalities == shard_b._cardinalities
 
 
@@ -267,18 +277,7 @@ class TestIngestReportPhases:
     def test_phase_timings_are_recorded(self, parity_stream):
         sketch = ShardedVOS(4, 4096, 128, seed=9)
         report = ingest_stream(sketch, parity_stream, batch_size=512)
-        assert report.workers == 1
+        assert report.elements == len(parity_stream)
         assert report.assemble_seconds >= 0.0
         assert report.process_seconds > 0.0
         assert report.seconds >= report.process_seconds
-
-    def test_workers_recorded_for_parallel_runs(self, parity_stream):
-        sketch = ShardedVOS(4, 4096, 128, seed=9)
-        report = ingest_stream(sketch, parity_stream, batch_size=512, workers=2)
-        assert report.workers == 2
-
-    def test_plain_vos_ignores_workers(self, parity_stream):
-        sketch = VirtualOddSketch(shared_array_bits=4096, virtual_sketch_size=128)
-        report = ingest_stream(sketch, parity_stream, batch_size=512, workers=8)
-        assert report.workers == 1
-        assert report.elements == len(parity_stream)
