@@ -14,11 +14,13 @@ TCP connection:
   and the epoch swap pause (the publish critical section concurrent readers
   can see) is read from the daemon's metrics registry and must stay
   microscopic relative to request latency.
-* **Publish latency sweep** — identical daemons in ``cow`` and ``full``
-  epoch mode absorb the same small batches at several user-pool tiers; the
-  per-publish build latency (daemon-side ``publish_log``) lands in the JSON
-  split by mode and user count.  Incremental COW publishing must be at least
-  5x faster at p50 than the full-state freeze at the largest tier.
+* **Publish latency sweep** — a daemon and a plain writer absorb the same
+  small batches at several user-pool tiers; the daemon's copy-on-write
+  publish latency (daemon-side ``publish_log``) and the full-state freeze
+  of the writer (``from_state_bytes(dumps_state())``, the oracle cow epochs
+  are tested against) land in the JSON split by arm and user count.
+  Incremental COW publishing must be at least 5x faster at p50 than the
+  full-state freeze at the largest tier.
 
 ``REPRO_SERVE_BENCH_USERS`` shrinks the pool (CI smoke mode writes
 ``BENCH_serve_smoke.json`` so a shrunken run never clobbers the full-size
@@ -66,7 +68,7 @@ REQUEST_PAIRS = 256
 #: Reader threads during the live-swap phase.
 SWAP_READERS = 4
 SWAP_ROUNDS = 3 if SMOKE_MODE else 6
-#: Publishes timed per epoch mode at each sweep tier.
+#: Publishes timed per arm (cow, full freeze) at each sweep tier.
 SWEEP_PUBLISHES = 12 if SMOKE_MODE else 16
 
 
@@ -243,47 +245,72 @@ def _sweep_tiers() -> list[int]:
     return sorted({max(100, POOL_USERS // 5), POOL_USERS})
 
 
-def test_publish_latency_sweep(measurements):
-    """Time cow vs full publishes over the same batches at each user tier.
-
-    Both daemons absorb identical small batches; per-publish build latency is
-    read from the daemon-side ``publish_log`` (no wire time included), so the
-    comparison isolates exactly what the COW path claims to make cheap: the
-    epoch build.  The 5x acceptance floor applies at the largest tier, where
-    the full freeze is most expensive.
-    """
+def _sweep_batch(round_index: int) -> list:
     from repro.streams import Action, StreamElement
 
+    base = 30_000_000 + round_index * 50
+    return [
+        StreamElement(base + offset, base + offset + item, Action.INSERT)
+        for offset in range(4)
+        for item in range(10)
+    ]
+
+
+def _publish_record(log: list[dict]) -> dict:
+    seconds = [entry["seconds"] for entry in log]
+    return {
+        "publishes": len(seconds),
+        "publish_p50_ms": float(np.percentile(seconds, 50) * 1e3),
+        "publish_p99_ms": float(np.percentile(seconds, 99) * 1e3),
+        "publish_max_ms": float(max(seconds) * 1e3),
+        "delta_words_p50": float(
+            np.percentile([entry["delta_words"] for entry in log], 50)
+        ),
+    }
+
+
+def test_publish_latency_sweep(measurements):
+    """Time cow publishes against full freezes over the same batches at each tier.
+
+    The cow arm's per-publish build latency is read from the daemon-side
+    ``publish_log`` (no wire time included).  The full arm times the oracle
+    — ``from_state_bytes(dumps_state())`` — on a second writer after it
+    takes the same batch, so the comparison isolates exactly what the COW
+    path claims to make cheap: the epoch build.  The 5x acceptance floor
+    applies at the largest tier, where the full freeze is most expensive.
+    """
     sweep: dict[str, dict] = {}
     for tier in _sweep_tiers():
-        tier_record: dict[str, object] = {}
-        for mode in ("cow", "full"):
-            writer = _build_service(tier)
-            with ServingDaemon(writer, workers=2, epoch_mode=mode) as running:
-                with ServingClient(*running.address) as mine:
-                    for round_index in range(SWEEP_PUBLISHES):
-                        base = 30_000_000 + round_index * 50
-                        batch = [
-                            StreamElement(base + offset, base + offset + item, Action.INSERT)
-                            for offset in range(4)
-                            for item in range(10)
-                        ]
-                        report = mine.ingest_batch(batch)
-                        assert report["publish_mode"] == mode
-                log = [
-                    entry for entry in running.publish_log if entry["mode"] == mode
-                ]
+        batches = [_sweep_batch(round_index) for round_index in range(SWEEP_PUBLISHES)]
+        with ServingDaemon(_build_service(tier), workers=2) as running:
+            with ServingClient(*running.address) as mine:
+                for batch in batches:
+                    assert mine.ingest_batch(batch)["publish_mode"] == "cow"
+            cow_log = list(running.publish_log)
+        writer = _build_service(tier)
+        writer.mark_published()
+        full_log = []
+        for batch in batches:
+            writer.ingest(batch)
+            delta = writer.freeze_delta()
+            started = time.perf_counter()
+            SimilarityService.from_state_bytes(
+                writer.dumps_state(),
+                index_config=writer.index_config,
+                elements_ingested=writer.elements_ingested,
+            )
+            full_log.append(
+                {
+                    "seconds": time.perf_counter() - started,
+                    "delta_words": sum(entry["words"].size for entry in delta["shards"]),
+                }
+            )
+        for log in (cow_log, full_log):
             assert len(log) == SWEEP_PUBLISHES
-            seconds = [entry["seconds"] for entry in log]
-            tier_record[mode] = {
-                "publishes": len(seconds),
-                "publish_p50_ms": float(np.percentile(seconds, 50) * 1e3),
-                "publish_p99_ms": float(np.percentile(seconds, 99) * 1e3),
-                "publish_max_ms": float(max(seconds) * 1e3),
-                "delta_words_p50": float(
-                    np.percentile([entry["delta_words"] for entry in log], 50)
-                ),
-            }
+        tier_record: dict[str, object] = {
+            "cow": _publish_record(cow_log),
+            "full": _publish_record(full_log),
+        }
         cow_p50 = tier_record["cow"]["publish_p50_ms"]
         full_p50 = tier_record["full"]["publish_p50_ms"]
         tier_record["cow_speedup_p50"] = full_p50 / cow_p50 if cow_p50 else float("inf")
@@ -293,7 +320,7 @@ def test_publish_latency_sweep(measurements):
     assert sweep[largest]["cow_speedup_p50"] >= 5.0, sweep[largest]
 
 
-def test_write_serve_json(daemon, measurements):
+def test_write_serve_json(measurements):
     """Record the serving figures (runs last; depends on the tests above)."""
     assert "top_k_pairs" in measurements and "epoch_swap" in measurements
     assert "publish_sweep" in measurements
@@ -303,7 +330,6 @@ def test_write_serve_json(daemon, measurements):
         "request_pool_users": REQUEST_POOL,
         "request_pairs": REQUEST_PAIRS,
         "workers": 4,
-        "epoch_mode": daemon.epoch_mode,
         "latency": {
             "top_k_pairs": measurements["top_k_pairs"],
             "estimate_many": measurements["estimate_many"],

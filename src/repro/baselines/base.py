@@ -17,10 +17,12 @@ from __future__ import annotations
 import abc
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, UnknownUserError
+from repro.hashing import PackedBitArray
 from repro.streams.edge import StreamElement, UserId
 
 
@@ -130,15 +132,19 @@ class SimilaritySketch(abc.ABC):
 
     def __init__(self) -> None:
         self._cardinalities: dict[UserId, int] = {}
-        # Users whose counter changed since the last persist — the counter
-        # analogue of the shared array's dirty-word bitmap.  Delta checkpoints
-        # read and clear it; sketches that are never persisted just accumulate
-        # a set no larger than their user population.
-        self._dirty_counters: set[UserId] = set()
-        # The same signal on an independent channel for the serving daemon's
-        # incremental epoch publishes, so a journal checkpoint between two
-        # publishes cannot swallow counter changes the next epoch needs.
-        self._epoch_dirty_counters: set[UserId] = set()
+        # The counter half of the change record (the shared array's per-word
+        # stamps are the other): user -> the generation its counter last
+        # changed at.  Consumers read it through :meth:`counter_users_since`.
+        self._counter_stamps: dict[UserId, int] = {}
+
+    @property
+    def generation(self) -> int:
+        """The generation counter changes are stamped with right now.
+
+        VOS overrides this with its shared array's generation, so words and
+        counters are stamped on one clock; other sketches never advance it.
+        """
+        return PackedBitArray.FIRST_GENERATION
 
     # -- stream consumption --------------------------------------------------------
 
@@ -151,8 +157,7 @@ class SimilaritySketch(abc.ABC):
         else:
             self._cardinalities[user] = max(0, self._cardinalities.get(user, 0) - 1)
             self._process_deletion(element)
-        self._dirty_counters.add(user)
-        self._epoch_dirty_counters.add(user)
+        self._counter_stamps[user] = self.generation
 
     def process_stream(self, elements: Iterable[StreamElement]) -> None:
         """Consume every element of an iterable (convenience wrapper)."""
@@ -216,8 +221,7 @@ class SimilaritySketch(abc.ABC):
             finals[index] = value
         for user, value in zip(users_list, finals.tolist()):
             self._cardinalities[user] = value
-        self._dirty_counters.update(users_list)
-        self._epoch_dirty_counters.update(users_list)
+        self._counter_stamps.update(zip(users_list, repeat(self.generation)))
 
     @abc.abstractmethod
     def _process_insertion(self, element: StreamElement) -> None:
@@ -243,21 +247,9 @@ class SimilaritySketch(abc.ABC):
         """All users ever observed."""
         return set(self._cardinalities)
 
-    def dirty_counter_users(self) -> set[UserId]:
-        """Users whose cardinality counter changed since the last persist."""
-        return set(self._dirty_counters)
-
-    def clear_dirty_counters(self) -> None:
-        """Mark every counter clean (their state has just been persisted)."""
-        self._dirty_counters.clear()
-
-    def epoch_dirty_counter_users(self) -> set[UserId]:
-        """Users whose counter changed since the last epoch publish."""
-        return set(self._epoch_dirty_counters)
-
-    def clear_epoch_dirty_counters(self) -> None:
-        """Mark the epoch counter channel clean (a publish delta was taken)."""
-        self._epoch_dirty_counters.clear()
+    def counter_users_since(self, cursor: int) -> list[UserId]:
+        """Users whose counter changed at or after generation ``cursor``."""
+        return [user for user, stamp in self._counter_stamps.items() if stamp >= cursor]
 
     @abc.abstractmethod
     def estimate_common_items(self, user_a: UserId, user_b: UserId) -> float:

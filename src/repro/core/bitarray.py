@@ -101,12 +101,12 @@ class SharedBitArray:
         """
         return self._bits.xor_bulk(positions)
 
-    # -- incremental persistence ------------------------------------------------------
+    # -- change record ----------------------------------------------------------------
     #
-    # Delta checkpoints ship only the 64-bit words mutated since the last
-    # persist instead of rewriting all ``m`` bits.  The dirty bitmap lives in
-    # the backing PackedBitArray and piggybacks on the same mutation paths
-    # that bump :attr:`version`.
+    # Delta checkpoints and epoch publishes ship only the 64-bit words
+    # mutated since their consumer's cursor instead of all ``m`` bits.  The
+    # per-word generation stamps live in the backing PackedBitArray and ride
+    # the same mutation paths that bump :attr:`version`.
 
     @property
     def num_words(self) -> int:
@@ -114,13 +114,17 @@ class SharedBitArray:
         return self._bits.num_words
 
     @property
-    def dirty_word_count(self) -> int:
-        """Words mutated since the last :meth:`clear_dirty`."""
-        return self._bits.dirty_word_count
+    def generation(self) -> int:
+        """The generation mutations are stamped with right now."""
+        return self._bits.generation
 
-    def dirty_words(self) -> "np.ndarray":
-        """Sorted indices of the words mutated since the last :meth:`clear_dirty`."""
-        return self._bits.dirty_words()
+    def advance_generation(self) -> int:
+        """Start a new generation and return it (a consumer's next cursor)."""
+        return self._bits.advance_generation()
+
+    def words_since(self, cursor: int) -> "np.ndarray":
+        """Sorted indices of the words stamped at or after generation ``cursor``."""
+        return self._bits.words_since(cursor)
 
     def packed_words(self, word_indices) -> bytes:
         """Packed bytes (8 per word) of the listed 64-bit words."""
@@ -129,28 +133,6 @@ class SharedBitArray:
     def apply_packed_words(self, word_indices, data: bytes) -> None:
         """Overwrite the listed words from :meth:`packed_words` bytes (delta replay)."""
         self._bits.apply_packed_words(word_indices, data)
-
-    def clear_dirty(self) -> None:
-        """Mark the array clean (its state has just been persisted)."""
-        self._bits.clear_dirty()
-
-    @property
-    def epoch_dirty_word_count(self) -> int:
-        """Words mutated since the last :meth:`clear_epoch_dirty`."""
-        return self._bits.epoch_dirty_word_count
-
-    def epoch_dirty_words(self) -> "np.ndarray":
-        """Sorted word indices mutated since the last epoch publish.
-
-        Tracked independently of :meth:`dirty_words`: the serving daemon's
-        incremental publishes clear this channel while journal checkpoints
-        clear the persistence channel, so neither starves the other.
-        """
-        return self._bits.epoch_dirty_words()
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (a publish delta was just taken)."""
-        self._bits.clear_epoch_dirty()
 
     def bits_buffer(self) -> "np.ndarray":
         """Raw byte-per-bit backing store (no copy; arena materialization)."""

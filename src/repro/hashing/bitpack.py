@@ -42,12 +42,16 @@ class PackedBitArray:
     0.125
     """
 
-    __slots__ = ("_bits", "_ones", "_version", "_dirty_words", "_epoch_dirty")
+    __slots__ = ("_bits", "_ones", "_version", "_generation", "_stamps")
 
-    #: Bits per dirty-tracking word.  Matches the ``uint64`` lanes of the
-    #: packed representation, so one dirty word maps to exactly 8 bytes of
+    #: Bits per change-tracking word.  Matches the ``uint64`` lanes of the
+    #: packed representation, so one changed word maps to exactly 8 bytes of
     #: :meth:`to_packed_bytes` output — the unit a delta checkpoint ships.
     WORD_BITS = 64
+
+    #: The generation a fresh array starts at.  Stamp 0 means "never
+    #: changed", so a cursor at this value collects every change ever made.
+    FIRST_GENERATION = 1
 
     def __init__(self, size: int) -> None:
         if size <= 0:
@@ -55,25 +59,33 @@ class PackedBitArray:
         self._bits = np.zeros(size, dtype=np.uint8)
         self._ones = 0
         self._version = 0
-        # Two independent dirty-word channels ride the same mutation paths:
-        # ``_dirty_words`` feeds persistence (journal delta checkpoints) and
-        # ``_epoch_dirty`` feeds incremental epoch publishing in the serving
-        # daemon.  Each consumer clears only its own channel, so a journal
-        # checkpoint never shrinks the next epoch delta and vice versa.
-        # ``None`` means clean — the bitmaps are allocated on first mutation,
-        # so frozen copy-on-write views carry no bitmap memory at all.
-        self._dirty_words = None
-        self._epoch_dirty = None
+        # The change record: every word mutation writes the current
+        # generation into the word's stamp.  Consumers (the journal, the
+        # epoch publisher) each keep their own cursor and collect the words
+        # stamped at or after it (:meth:`words_since`), then move the
+        # generation on (:meth:`advance_generation`).  ``None`` means nothing
+        # changed yet — the stamps are allocated on first mutation.
+        self._generation = self.FIRST_GENERATION
+        self._stamps = None
 
     @classmethod
-    def from_byte_buffer(cls, bits: np.ndarray, *, ones_count: int | None = None) -> "PackedBitArray":
+    def from_byte_buffer(
+        cls,
+        bits: np.ndarray,
+        *,
+        ones_count: int | None = None,
+        patch: tuple[np.ndarray, bytes] | None = None,
+    ) -> "PackedBitArray":
         """Wrap an existing byte-per-bit ``uint8`` buffer without copying.
 
         The copy-on-write epoch path maps a shared arena file privately
-        (``mmap.ACCESS_COPY``) and hands the mapping here; subsequent
-        ``apply_packed_words`` patches then touch only the dirtied pages.
-        ``ones_count`` skips the O(n) popcount when the caller already knows
-        it — downstream verification compares it against shipped counts.
+        (``mmap.ACCESS_COPY``) and hands the mapping here; ``patch`` — a
+        ``(word_indices, packed_bytes)`` pair in :meth:`apply_packed_words`
+        form — is then written in place, touching only the patched pages.
+        Patching at construction records no change: the result is a read
+        copy that no consumer collects from.  ``ones_count`` skips the O(n)
+        popcount when the caller already knows the unpatched count —
+        downstream verification compares it against shipped counts.
         """
         if not isinstance(bits, np.ndarray) or bits.dtype != np.uint8 or bits.ndim != 1:
             raise ConfigurationError("from_byte_buffer expects a 1-d uint8 array")
@@ -83,21 +95,21 @@ class PackedBitArray:
         array._bits = bits
         array._ones = int(bits.sum(dtype=np.int64)) if ones_count is None else int(ones_count)
         array._version = 0
-        array._dirty_words = None
-        array._epoch_dirty = None
+        array._generation = cls.FIRST_GENERATION
+        array._stamps = None
+        if patch is not None:
+            array._write_words(*patch)
         return array
 
-    def _mark_words_dirty(self, words) -> None:
-        if self._dirty_words is None:
-            self._dirty_words = np.zeros(self.num_words, dtype=bool)
-        self._dirty_words[words] = True
-        if self._epoch_dirty is None:
-            self._epoch_dirty = np.zeros(self.num_words, dtype=bool)
-        self._epoch_dirty[words] = True
+    def _stamp(self, words) -> None:
+        if self._stamps is None:
+            self._stamps = np.zeros(self.num_words, dtype=np.int64)
+        # Fancy-index assignment tolerates duplicate word indices, so no
+        # dedup pass is needed on the per-batch hot path.
+        self._stamps[words] = self._generation
 
-    def _mark_all_dirty(self) -> None:
-        self._dirty_words = np.ones(self.num_words, dtype=bool)
-        self._epoch_dirty = np.ones(self.num_words, dtype=bool)
+    def _stamp_all(self) -> None:
+        self._stamps = np.full(self.num_words, self._generation, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self._bits.shape[0])
@@ -136,53 +148,36 @@ class PackedBitArray:
         return (len(self._bits) + self.WORD_BITS - 1) // self.WORD_BITS
 
     @property
-    def dirty_word_count(self) -> int:
-        """Number of words mutated since the last :meth:`clear_dirty`."""
-        if self._dirty_words is None:
-            return 0
-        return int(np.count_nonzero(self._dirty_words))
+    def generation(self) -> int:
+        """The generation mutations are stamped with right now.
 
-    def dirty_words(self) -> np.ndarray:
-        """Sorted indices of the words mutated since the last :meth:`clear_dirty`.
-
-        Together with :meth:`packed_words` this is the write set a delta
-        checkpoint records instead of rewriting the whole array; the bitmap
-        piggybacks on the same mutation paths that bump :attr:`version`.
+        Only ever increases, and only through :meth:`advance_generation` —
+        independent of :attr:`version`, so taking a cursor never invalidates
+        caches keyed on the version.
         """
-        if self._dirty_words is None:
+        return self._generation
+
+    def advance_generation(self) -> int:
+        """Start a new generation and return it (a consumer's next cursor).
+
+        Every mutation before this call carries a stamp below the returned
+        value, every mutation after it a stamp equal to it.
+        """
+        self._generation += 1
+        return self._generation
+
+    def words_since(self, cursor: int) -> np.ndarray:
+        """Sorted indices of the words stamped at or after generation ``cursor``.
+
+        A superset of the words whose bits differ from their state when
+        ``cursor`` was taken (a toggle that a later toggle cancels still
+        stamps its word).  Together with :meth:`packed_words` this is the
+        write set a delta checkpoint or an epoch publish ships instead of the
+        whole array.
+        """
+        if self._stamps is None:
             return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self._dirty_words).astype(np.int64)
-
-    def clear_dirty(self) -> None:
-        """Mark the persistence channel clean (called after state is persisted).
-
-        Leaves the epoch channel untouched: a journal checkpoint between two
-        epoch publishes must not shrink the next publish's delta.
-        """
-        self._dirty_words = None
-
-    @property
-    def epoch_dirty_word_count(self) -> int:
-        """Number of words mutated since the last :meth:`clear_epoch_dirty`."""
-        if self._epoch_dirty is None:
-            return 0
-        return int(np.count_nonzero(self._epoch_dirty))
-
-    def epoch_dirty_words(self) -> np.ndarray:
-        """Sorted indices of words mutated since the last :meth:`clear_epoch_dirty`.
-
-        This is the serving daemon's publish delta: the words a copy-on-write
-        epoch overlay must patch.  It is tracked independently of
-        :meth:`dirty_words` so journal checkpoints and epoch publishes can
-        each clear their own channel without starving the other.
-        """
-        if self._epoch_dirty is None:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self._epoch_dirty).astype(np.int64)
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (called after a delta is published)."""
-        self._epoch_dirty = None
+        return np.flatnonzero(self._stamps >= cursor)
 
     def packed_words(self, word_indices) -> bytes:
         """The packed bytes of the listed 64-bit words (8 bytes per word).
@@ -209,9 +204,14 @@ class PackedBitArray:
 
         This is the delta-replay primitive: the popcount is re-derived from
         the before/after bits of the touched words, so ``beta`` stays exact,
-        and the words are marked dirty (replayed state has not itself been
-        persisted yet).
+        and the words are stamped like any other mutation.
         """
+        words = self._write_words(word_indices, data)
+        if words.size:
+            self._stamp(words)
+
+    def _write_words(self, word_indices, data: bytes) -> np.ndarray:
+        """Validate and write a :meth:`packed_words` payload; returns the words."""
         words = np.asarray(word_indices, dtype=np.int64).ravel()
         if len(data) != words.size * 8:
             raise ConfigurationError(
@@ -219,7 +219,7 @@ class PackedBitArray:
                 f"expected {words.size * 8} for {words.size} words"
             )
         if words.size == 0:
-            return
+            return words
         if int(words.min()) < 0 or int(words.max()) >= self.num_words:
             raise ConfigurationError(
                 f"word index out of range [0, {self.num_words}) in apply_packed_words"
@@ -241,7 +241,7 @@ class PackedBitArray:
         self._bits[flat_positions] = flat_fresh
         self._ones += int(flat_fresh.sum(dtype=np.int64)) - before
         self._version += 1
-        self._mark_words_dirty(words)
+        return words
 
     def set(self, index: int, value: int) -> None:
         """Set bit ``index`` to ``value`` (0 or 1), updating the popcount."""
@@ -251,7 +251,7 @@ class PackedBitArray:
             self._bits[index] = value
             self._ones += value - old
             self._version += 1
-            self._mark_words_dirty(index // self.WORD_BITS)
+            self._stamp(index // self.WORD_BITS)
 
     def flip(self, index: int) -> int:
         """Xor bit ``index`` with 1 and return its new value."""
@@ -259,7 +259,7 @@ class PackedBitArray:
         self._bits[index] = new
         self._ones += 1 if new else -1
         self._version += 1
-        self._mark_words_dirty(index // self.WORD_BITS)
+        self._stamp(index // self.WORD_BITS)
         return new
 
     def xor_value(self, index: int, value: int) -> int:
@@ -307,9 +307,7 @@ class PackedBitArray:
         self._bits[odd] ^= 1
         self._ones += int(odd.size) - 2 * previously_set
         self._version += 1
-        # Fancy-index assignment tolerates duplicate word indices, so no
-        # dedup pass is needed on the per-batch hot path.
-        self._mark_words_dirty(odd // self.WORD_BITS)
+        self._stamp(odd // self.WORD_BITS)
         return int(odd.size)
 
     def to_list(self) -> list[int]:
@@ -321,7 +319,7 @@ class PackedBitArray:
         self._bits[:] = 0
         self._ones = 0
         self._version += 1
-        self._mark_all_dirty()
+        self._stamp_all()
 
     def bits_buffer(self) -> np.ndarray:
         """The raw byte-per-bit backing store (no copy).
@@ -351,7 +349,7 @@ class PackedBitArray:
         self._bits = bits
         self._ones = int(bits.sum(dtype=np.int64))
         self._version += 1
-        self._mark_all_dirty()
+        self._stamp_all()
 
     def memory_bits(self) -> int:
         """Memory this array accounts for under the paper's cost model (1 bit/position)."""

@@ -1,9 +1,8 @@
 """Copy-on-write epoch state: incremental publishing for the serving daemon.
 
-PR 9's epoch publisher froze the writer with a full ``dumps_state`` →
-``from_state_bytes`` round trip — O(state) per publish, ~30ms at 2k bench
-users and growing linearly.  This module replaces that with a publish cost of
-O(dirty words):
+Freezing the writer with a full ``dumps_state`` → ``from_state_bytes`` round
+trip costs O(state) per publish (~30ms at 2k bench users, growing linearly).
+This module publishes at a cost of O(changed words) instead:
 
 * **Arena** — at daemon start the writer's byte-per-bit shard buffers are
   written once to file-backed arenas (:class:`_ShardArena`) of plain raw
@@ -13,8 +12,9 @@ O(dirty words):
   and patching N words touches only the pages holding those words (the
   kernel copies pages lazily on write).
 * **Patch** — every publish takes the writer's
-  :meth:`~repro.service.service.SimilarityService.freeze_delta` (the same
-  ``packed_words`` / ``apply_packed_words`` wire shape the journal uses),
+  :meth:`~repro.service.service.SimilarityService.freeze_delta` — the words
+  and counters stamped since the publish cursor, in the same
+  ``packed_words`` / ``apply_packed_words`` wire shape the journal uses —
   folds it into the arena's cumulative patch, and applies the cumulative
   patch to a fresh overlay.  Shards untouched since the previous publish are
   carried over by reference — no new mapping, no new sketch object.
@@ -27,8 +27,8 @@ the before/after bits, the publisher verifies every patched shard's popcount
 and user count against the writer's values shipped in the delta, and the
 per-user counters are layered exactly (:class:`LayeredCounts`).  A
 copy-on-write epoch therefore answers ``top_k_pairs`` / ``nearest`` /
-``estimate_many`` bit-identically to a full-freeze epoch — asserted by the
-parity suite under both kernel tiers.
+``estimate_many`` bit-identically to a full freeze of the writer — the
+oracle the parity suite asserts against under both kernel tiers.
 """
 
 from __future__ import annotations
@@ -152,10 +152,10 @@ class _ShardArena:
 class CowEpochPublisher:
     """Build frozen epoch services from publish deltas instead of full state.
 
-    Owned by the serving daemon when ``epoch_mode="cow"``.  Lifecycle:
+    Owned by the serving daemon.  Lifecycle:
     :meth:`materialize` once at start (O(state): writes the arenas and wraps
     the first frozen views), then :meth:`publish_delta` per published ingest
-    (O(dirty words)), then :meth:`close` at drain.  All calls run under the
+    (O(changed words)), then :meth:`close` at drain.  All calls run under the
     daemon's write lock; published services are immutable and outlive the
     publisher's arenas (private mappings survive close/unlink).
     """
@@ -183,9 +183,9 @@ class CowEpochPublisher:
     def materialize(self) -> SimilarityService:
         """The first epoch: copy the writer's state into the shared arenas.
 
-        The one O(state) step of the copy-on-write lifecycle.  Also resets
-        the writer's epoch dirty channel, so the first :meth:`publish_delta`
-        ships exactly the mutations that landed after this snapshot.
+        The one O(state) step of the copy-on-write lifecycle.  Also moves the
+        writer's publish cursors, so the first :meth:`publish_delta` ships
+        exactly the mutations that landed after this copy.
         """
         writer_sketch = self._writer.sketch
         shards: list[VirtualOddSketch] = []
@@ -201,7 +201,7 @@ class CowEpochPublisher:
             self._arenas.append(arena)
             shards.append(self._frozen_shard(shard, arena, counts))
         self._current_shards = shards
-        self._writer.clear_epoch_dirty()
+        self._writer.mark_published()
         service = self._assemble()
         # Adopt the writer's built index via an export/restore round trip:
         # restore_state deep-copies the mutable containers (user lists,
@@ -300,19 +300,15 @@ class CowEpochPublisher:
         self, source: VirtualOddSketch, arena: _ShardArena, counts
     ) -> VirtualOddSketch:
         """Overlay the arena, apply the cumulative patch, wrap as a frozen view."""
+        words = sorted(arena.word_patch)
         bits = PackedBitArray.from_byte_buffer(
-            arena.overlay(), ones_count=arena.base_ones
-        )
-        if arena.word_patch:
-            words = sorted(arena.word_patch)
-            bits.apply_packed_words(
+            arena.overlay(),
+            ones_count=arena.base_ones,
+            patch=(
                 np.asarray(words, dtype=np.int64),
                 b"".join(arena.word_patch[word] for word in words),
-            )
-            # Drop the dirty bitmaps the patch application allocated: frozen
-            # views are never persisted or re-published from.
-            bits.clear_dirty()
-            bits.clear_epoch_dirty()
+            ),
+        )
         return VirtualOddSketch.cow_view(
             source, SharedBitArray.from_packed_bits(bits), counts
         )

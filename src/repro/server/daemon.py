@@ -4,15 +4,17 @@
 
 * a **writer** — the one :class:`~repro.service.service.SimilarityService`
   that ingests (``ingest_batch`` requests are serialized through a write
-  lock and may run the thread/process ingest pools and checkpoint policy the
-  service already has);
+  lock and run the service's serial ingest and checkpoint policy);
 * an :class:`~repro.server.epochs.EpochManager` of **frozen reader epochs** —
-  after every published ingest the writer's state is serialized with
-  :meth:`~repro.service.service.SimilarityService.dumps_state` and revived
-  into an immutable read copy, which is atomically swapped in as the next
-  epoch.  Readers pin whatever epoch is current when their request arrives,
-  so a query never observes a half-applied batch and an epoch swap never
-  tears, drops, or errors an in-flight request.
+  after every published ingest the
+  :class:`~repro.server.cow.CowEpochPublisher` patches the words and
+  counters changed since the last publish
+  (:meth:`~repro.service.service.SimilarityService.freeze_delta`) onto a
+  copy-on-write overlay of its shared arena, and the resulting immutable read
+  copy is atomically swapped in as the next epoch.  Readers pin whatever
+  epoch is current when their request arrives, so a query never observes a
+  half-applied batch and an epoch swap never tears, drops, or errors an
+  in-flight request.
 
 Threading model: one acceptor thread spawns a thread per live connection
 (bounded by ``backlog``; connections beyond it are shed, never silently
@@ -37,7 +39,6 @@ shutdown checkpoint counter — all in the process registry
 from __future__ import annotations
 
 import logging
-import os
 import socket
 import threading
 import time
@@ -55,9 +56,6 @@ logger = logging.getLogger(__name__)
 
 #: How often blocking accept/recv waits wake up to check the stop flag.
 _POLL_SECONDS = 0.2
-
-#: Valid epoch publishing modes (see :mod:`repro.server.cow`).
-EPOCH_MODES = ("cow", "full")
 
 #: How many recent publishes :attr:`ServingDaemon.publish_log` retains.
 _PUBLISH_LOG_SIZE = 4096
@@ -79,12 +77,6 @@ class ServingDaemon:
     backlog:
         Maximum live connections (and listen backlog); beyond it new
         connections are shed at accept instead of queueing indefinitely.
-    epoch_mode:
-        How publishes build the next epoch: ``"cow"`` (default) copies only
-        the words the batch dirtied onto a shared mmap arena
-        (:class:`~repro.server.cow.CowEpochPublisher`), ``"full"`` serializes
-        and revives the whole writer state.  ``None`` reads the
-        ``REPRO_EPOCH_MODE`` environment variable, falling back to ``"cow"``.
     """
 
     def __init__(
@@ -95,20 +87,12 @@ class ServingDaemon:
         port: int = 0,
         workers: int = 4,
         backlog: int = 64,
-        epoch_mode: str | None = None,
     ) -> None:
         if workers <= 0:
             raise ConfigurationError(f"workers must be positive, got {workers}")
-        if epoch_mode is None:
-            epoch_mode = os.environ.get("REPRO_EPOCH_MODE", "cow").strip().lower()
-        if epoch_mode not in EPOCH_MODES:
-            raise ConfigurationError(
-                f"epoch_mode must be one of {EPOCH_MODES}, got {epoch_mode!r}"
-            )
-        self._epoch_mode = epoch_mode
         self._publisher: CowEpochPublisher | None = None
-        #: Recent publish records ``{"epoch", "mode", "seconds", "delta_words"}``
-        #: — bounded; read by benchmarks to split latency by publish mode.
+        #: Recent publish records ``{"epoch", "seconds", "delta_words"}`` —
+        #: bounded; read by benchmarks timing the epoch build.
         self.publish_log: deque[dict] = deque(maxlen=_PUBLISH_LOG_SIZE)
         self._writer = service
         self._host = host
@@ -168,26 +152,27 @@ class ServingDaemon:
         """What the shutdown checkpoint wrote (``None`` before drain)."""
         return self._final_checkpoint
 
-    @property
-    def epoch_mode(self) -> str:
-        """How this daemon builds epochs: ``"cow"`` or ``"full"``."""
-        return self._epoch_mode
-
     def start(self) -> tuple[str, int]:
         """Publish epoch 1, bind the listener, start threads; returns address."""
         if self._started:
             return self.address
-        if self._epoch_mode == "cow":
-            self._publisher = CowEpochPublisher(self._writer)
-            self._epochs = EpochManager(self._publisher.materialize())
-        else:
-            self._epochs = EpochManager(self._freeze())
-            self._writer.clear_epoch_dirty()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(self._backlog)
-        listener.settimeout(_POLL_SECONDS)
+        publisher = CowEpochPublisher(self._writer)
+        listener = None
+        try:
+            self._epochs = EpochManager(publisher.materialize())
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(self._backlog)
+            listener.settimeout(_POLL_SECONDS)
+        except BaseException:
+            # The arena files outlive the process unless closed: a daemon
+            # that fails to start must not leave them behind.
+            publisher.close()
+            if listener is not None:
+                listener.close()
+            raise
+        self._publisher = publisher
         self._listener = listener
         acceptor = threading.Thread(
             target=self._accept_loop, name="repro-serve-accept", daemon=True
@@ -285,58 +270,34 @@ class ServingDaemon:
 
     # -- epoch publishing ------------------------------------------------------------
 
-    def _freeze(self) -> SimilarityService:
-        """A frozen, immutable read copy of the writer's current state."""
-        registry = get_registry()
-        state = self._writer.dumps_state()
-        frozen = SimilarityService.from_state_bytes(
-            state,
-            index_config=self._writer.index_config,
-            elements_ingested=self._writer.elements_ingested,
-        )
-        if registry.enabled:
-            registry.set_gauge("server.epoch.state_bytes", len(state), unit="bytes")
-        return frozen
-
     def _publish_epoch(self) -> tuple[int, str]:
         """Publish the writer's state as a new epoch (caller holds the write lock).
 
-        Returns ``(epoch_id, publish_mode)``.  When the batch left zero dirty
-        words *and* zero dirty counters the publish is a no-op: readers keep
-        the current epoch, nothing is serialized or copied, and only the
+        Returns ``(epoch_id, publish_mode)``: ``"cow"``, or ``"noop"`` when
+        the writer changed no word and no counter since the last publish —
+        readers then keep the current epoch, nothing is copied, and only the
         ``server.epoch.noop`` counter moves.
         """
-        info = self._writer.epoch_dirty_info()
-        delta_words = info["dirty_words"]
-        if delta_words == 0 and info["dirty_counters"] == 0:
-            return self.epochs.note_noop(), "noop"
-        registry = get_registry()
         started = time.perf_counter()
-        if self._publisher is not None:
-            current = self.epochs.current
-            frozen = self._publisher.publish_delta(
-                self._writer.freeze_delta(),
-                previous_service=current.service,
-                previous_index_lock=current.index_lock,
-            )
-            mode = "cow"
-        else:
-            frozen = self._freeze()
-            self._writer.clear_epoch_dirty()
-            mode = "full"
-        epoch = self.epochs.publish(frozen, mode=mode, delta_words=delta_words)
+        delta = self._writer.freeze_delta()
+        if not delta["shards"]:
+            return self.epochs.note_noop(), "noop"
+        delta_words = sum(int(entry["words"].size) for entry in delta["shards"])
+        current = self.epochs.current
+        frozen = self._publisher.publish_delta(
+            delta,
+            previous_service=current.service,
+            previous_index_lock=current.index_lock,
+        )
+        epoch = self.epochs.publish(frozen, delta_words=delta_words)
         seconds = time.perf_counter() - started
+        registry = get_registry()
         if registry.enabled:
             registry.observe("server.epoch.publish", seconds)
         self.publish_log.append(
-            {
-                "epoch": epoch,
-                "mode": mode,
-                "seconds": seconds,
-                "delta_words": delta_words,
-            }
+            {"epoch": epoch, "seconds": seconds, "delta_words": delta_words}
         )
-        return epoch, mode
+        return epoch, "cow"
 
     # -- connection handling ---------------------------------------------------------
 
@@ -596,18 +557,15 @@ class ServingDaemon:
         """The ``server`` section of ``stats`` responses."""
         with self._inflight_lock:
             inflight = self._inflight
-        stats = {
+        return {
             "version": __version__,
             "address": list(self.address),
             "workers": self._workers,
             "inflight": inflight,
             "connections": len(self._conn_threads),
-            "publish_mode": self._epoch_mode,
             "epochs": self.epochs.stats(),
+            "cow": self._publisher.stats(),
         }
-        if self._publisher is not None:
-            stats["cow"] = self._publisher.stats()
-        return stats
 
 
 def _error_response(error: Exception) -> dict:

@@ -2,10 +2,10 @@
 
 The serving daemon separates its *writer* — the one
 :class:`~repro.service.service.SimilarityService` that ingests — from the
-*epochs* readers see.  Each epoch holds a frozen service copy
-(:meth:`~repro.service.service.SimilarityService.from_state_bytes`), so a
-query never observes a half-applied batch: readers **pin** the epoch current
-when they arrive and keep using it even while ingest publishes a successor.
+*epochs* readers see.  Each epoch holds a frozen service copy (built by the
+copy-on-write publisher, :mod:`repro.server.cow`), so a query never observes
+a half-applied batch: readers **pin** the epoch current when they arrive and
+keep using it even while ingest publishes a successor.
 
 Lifecycle of one epoch::
 
@@ -61,7 +61,6 @@ class EpochManager:
         self._published = 1
         self._retired = 0
         self._noops = 0
-        self._published_by_mode: dict[str, int] = {}
         registry = get_registry()
         if registry.enabled:
             registry.set_gauge("server.epoch.current", 1, unit="epoch")
@@ -119,19 +118,14 @@ class EpochManager:
             registry.inc("server.epoch.retired", 1, unit="epochs")
 
     def publish(
-        self,
-        service: SimilarityService,
-        *,
-        mode: str = "full",
-        delta_words: int | None = None,
+        self, service: SimilarityService, *, delta_words: int | None = None
     ) -> int:
         """Atomically make ``service`` the new current epoch; returns its id.
 
         The superseded epoch is retired immediately when no reader holds it,
         otherwise it lingers until its last reader releases (``pin`` exit).
-        ``mode`` records how the snapshot was built (``"full"`` freeze or
-        ``"cow"`` incremental overlay) and ``delta_words`` the number of
-        64-bit words the publish actually copied (COW mode only).
+        ``delta_words`` records the number of 64-bit words the publish
+        copied, when the caller knows it.
         """
         registry = get_registry()
         started = time.perf_counter()
@@ -141,7 +135,6 @@ class EpochManager:
             self._current = epoch
             self._live[epoch.epoch_id] = epoch
             self._published += 1
-            self._published_by_mode[mode] = self._published_by_mode.get(mode, 0) + 1
             if previous.readers == 0:
                 self._retire_locked(previous)
         pause_seconds = time.perf_counter() - started
@@ -154,7 +147,7 @@ class EpochManager:
         return epoch.epoch_id
 
     def note_noop(self) -> int:
-        """Record a publish that was short-circuited (zero dirty words).
+        """Record a publish that was short-circuited (nothing changed).
 
         No epoch is created — readers keep the current one — but the event is
         counted so ``stats()`` and the ``server.epoch.noop`` metric expose how
@@ -175,7 +168,6 @@ class EpochManager:
             return {
                 "current": self._current.epoch_id,
                 "published": self._published,
-                "published_by_mode": dict(self._published_by_mode),
                 "noops": self._noops,
                 "retired": self._retired,
                 "live": [

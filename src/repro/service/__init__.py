@@ -12,7 +12,7 @@ system component.  Four pieces compose:
   pluggable extra-section registry (the banding index persists its signature
   tables through it);
 * :mod:`repro.service.journal` — the write-ahead shard journal: CRC-framed
-  delta records (dirty array words, counter updates, index signature appends)
+  delta records (changed array words, counter updates, index signature appends)
   between full checkpoints, replayed on load;
 * :mod:`repro.service.service` — :class:`SimilarityService`, the facade that
   owns a sharded sketch and exposes ``ingest`` / ``estimate`` / ``top_k`` plus

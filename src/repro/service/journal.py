@@ -1,12 +1,12 @@
 """Write-ahead shard journal: CRC-framed delta records between full checkpoints.
 
 A full snapshot rewrites every shard's whole bit array; between full
-checkpoints the journal appends only what changed — per shard, the mutated
-64-bit array words (from the dirty-word bitmap the arrays maintain), the
-changed cardinality counters, and optionally freshly appended LSH index
-signature rows.  Restart cost becomes ``O(snapshot) + O(changes)`` instead of
-``O(snapshot)`` per checkpoint interval, and checkpoint cost becomes
-``O(changes)``.
+checkpoints the journal appends only what changed — per shard, the 64-bit
+array words and the cardinality counters stamped since the journal's change
+cursor (see :meth:`~repro.service.service.SimilarityService.save_delta`),
+and optionally freshly appended LSH index signature rows.  Restart cost
+becomes ``O(snapshot) + O(changes)`` instead of ``O(snapshot)`` per
+checkpoint interval, and checkpoint cost becomes ``O(changes)``.
 
 File layout (little-endian)::
 
@@ -441,10 +441,6 @@ def replay_journal(
                         counters=len(record.counter_users),
                     ),
                 )
-        # Replayed state equals the journal's durable record, so the sketch is
-        # clean with respect to (snapshot + journal).
-        for shard in shards:
-            shard.clear_dirty()
     if registry.enabled:
         registry.inc("persistence.replay.records", replay.records, unit="records")
         if span.seconds > 0.0:

@@ -28,6 +28,7 @@ from repro.baselines.base import PairEstimate
 from repro.core.memory import MemoryBudget
 from repro.core.vos import VirtualOddSketch
 from repro.exceptions import ConfigurationError, SnapshotError
+from repro.hashing import PackedBitArray
 from repro.index import (
     INDEX_SNAPSHOT_SECTION,
     BandedSketchIndex,
@@ -202,6 +203,14 @@ class SimilarityService:
         self._elements_since_checkpoint = 0
         self._deltas_written = 0
         self._compactions = 0
+        # One change cursor per shard for each consumer of the sketch's
+        # change record (per-word generation stamps plus per-user counter
+        # stamps): the journal (:meth:`save_delta`) and the epoch publisher
+        # (:meth:`freeze_delta`).  A cursor starts at the first generation,
+        # i.e. "every change since the sketch was created".
+        start = [PackedBitArray.FIRST_GENERATION] * len(sketch.row_shards())
+        self._journal_cursors = list(start)
+        self._publish_cursors = list(start)
 
     @classmethod
     def from_config(cls, config: ServiceConfig) -> "SimilarityService":
@@ -394,7 +403,7 @@ class SimilarityService:
             "deltas_written": self._deltas_written,
             "compactions": self._compactions,
             "journal_bytes": self._journal_size_bytes(),
-            "dirty": sketch.dirty_info(),
+            "dirty": self._journal_backlog(),
         }
         # Which kernel tier (native C popcount vs NumPy fallback) is scoring
         # pairs and hashing bands, plus probe/compile status (see README
@@ -408,11 +417,11 @@ class SimilarityService:
     # -- persistence -----------------------------------------------------------------
     #
     # Full checkpoints rewrite everything (snapshot v2, atomically) and rotate
-    # the journal; delta checkpoints append each shard's dirty words and
-    # counters to the journal; compaction folds the journal back into a fresh
-    # full checkpoint.  ``load`` replays any journal bound to the snapshot's
-    # checkpoint id, and restores the persisted banding index so the first
-    # query needs no O(users) rebuild.
+    # the journal; delta checkpoints append each shard's words and counters
+    # changed since the journal's cursor; compaction folds the journal back
+    # into a fresh full checkpoint.  ``load`` replays any journal bound to the
+    # snapshot's checkpoint id, and restores the persisted banding index so
+    # the first query needs no O(users) rebuild.
 
     def save(
         self,
@@ -464,7 +473,7 @@ class SimilarityService:
                 seconds=round(span.seconds, 6),
             ),
         )
-        self._sketch.clear_dirty()
+        self._journal_cursors = self._cursors_now()
         self._snapshot_path = Path(path)
         self._journal_path = (
             Path(journal_path) if journal_path else default_journal_path(path)
@@ -480,7 +489,7 @@ class SimilarityService:
         return checkpoint_id
 
     def save_delta(self) -> dict:
-        """Append a delta checkpoint (dirty words + counters) to the journal.
+        """Append a delta checkpoint (changed words + counters) to the journal.
 
         Requires a bound snapshot (an earlier :meth:`save` or :meth:`load`).
         One CRC-framed record is appended per shard with pending changes; a
@@ -518,39 +527,38 @@ class SimilarityService:
                 self._journal_path, self._checkpoint_id, config=self._journal_config
             )
         journal = self._journal
-        records = 0
         bytes_written = 0
         registry = get_registry()
         with timed("persistence.checkpoint.delta", registry) as span:
-            for shard_index, shard in enumerate(self._sketch.row_shards()):
-                words = shard.shared_array.dirty_words()
-                dirty_users = sorted(shard.dirty_counter_users(), key=user_sort_key)
-                if words.size == 0 and not dirty_users:
-                    continue
+            changes, cursors = self._collect_changes(self._journal_cursors)
+            for change in changes:
                 index_append = None
                 if (
-                    words.size == 0
-                    and dirty_users
+                    change["words"].size == 0
                     and self._index is not None
                     and self._index.is_built
-                    and not journal.shard_words_changed(shard_index)
+                    and not journal.shard_words_changed(change["shard"])
                 ):
-                    index_append = self._index.export_append(shard_index, dirty_users)
+                    index_append = self._index.export_append(
+                        change["shard"], change["counter_users"]
+                    )
                 bytes_written += journal.append_delta(
-                    shard_index,
-                    words,
-                    shard.shared_array.packed_words(words),
-                    dirty_users,
-                    [shard._cardinalities.get(user, 0) for user in dirty_users],
-                    ones_count=shard.shared_array.ones_count,
-                    num_users=len(shard._cardinalities),
+                    change["shard"],
+                    change["words"],
+                    change["word_data"],
+                    change["counter_users"],
+                    change["counter_counts"],
+                    ones_count=change["ones_count"],
+                    num_users=change["num_users"],
                     index_append=index_append,
                 )
-                shard.clear_dirty()
-                records += 1
             # Group commit: one fsync covers every record of this checkpoint
             # (no-op under the default fsync-per-record config).
             journal.sync()
+        # Only a fully written checkpoint moves the cursors: after a failed
+        # append the next delta re-ships every shard's changes.
+        self._journal_cursors = cursors
+        records = len(changes)
         self._elements_since_checkpoint = 0
         self._deltas_written += records
         if registry.enabled and records:
@@ -587,9 +595,10 @@ class SimilarityService:
 
         The in-memory counterpart of :meth:`save`: the same snapshot format,
         no file, no journal rotation, no change to the service's persistence
-        binding.  The serving daemon's epoch publisher uses it to freeze a
-        consistent copy of the writer's state for lock-free concurrent reads
-        (see :mod:`repro.server.epochs`).  ``include_index`` follows
+        binding.  Revived with :meth:`from_state_bytes` it is the full-freeze
+        oracle: a copy of the writer's state that the serving daemon's
+        copy-on-write epochs must answer identically to (see
+        :mod:`repro.server.cow`).  ``include_index`` follows
         :meth:`save`'s semantics: ``None`` ships the banding index's
         signature tables whenever the index is already built.
         """
@@ -602,56 +611,85 @@ class SimilarityService:
             self._sketch, extras=extras or None, checkpoint_id=new_checkpoint_id()
         )
 
-    def epoch_dirty_info(self) -> dict[str, int]:
-        """State mutated since the last epoch publish (words and counters).
+    def mark_published(self) -> None:
+        """Move the publish cursors to now: the current state is published.
 
-        Non-destructive: the serving daemon reads this to short-circuit no-op
-        publishes before deciding whether to take a :meth:`freeze_delta`.
+        The copy-on-write publisher calls this once it has copied the whole
+        state into its arena, so the first :meth:`freeze_delta` ships only
+        the changes made after that copy.
         """
-        return self._sketch.epoch_dirty_info()
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark the epoch channel clean (used by full-freeze publishes)."""
-        self._sketch.clear_epoch_dirty()
+        self._publish_cursors = self._cursors_now()
 
     def freeze_delta(self) -> dict:
-        """Collect the publish delta: every shard's epoch-dirty words and counters.
+        """The publish delta: the words and counters changed since the last publish.
 
         The incremental counterpart of :meth:`dumps_state` for the serving
         daemon's copy-on-write epoch publisher: instead of serializing O(state)
-        bytes, it ships only the 64-bit words and cardinality counters mutated
-        since the last publish, in the same ``packed_words`` wire shape the
-        journal uses, plus each shard's exact popcount and user count so the
-        publisher can verify the patched overlay against the writer.  Reading
-        the delta clears the *epoch* dirty channel only — the journal's
-        persistence channel is untouched, so interleaved ``save_delta`` calls
-        still ship everything they need.
+        bytes, it ships only the 64-bit words and cardinality counters
+        stamped since the publish cursor, in the same ``packed_words`` wire
+        shape the journal uses, plus each changed shard's exact popcount and
+        user count so the publisher can verify the patched overlay against
+        the writer.  Only the publish cursors move — :meth:`save_delta` keeps
+        its own, so neither consumer takes changes from the other.  An empty
+        ``shards`` list means nothing changed since the last publish.
         """
-        shards = []
-        for shard_index, shard in enumerate(self._sketch.row_shards()):
-            words = shard.shared_array.epoch_dirty_words()
-            dirty_users = sorted(
-                shard.epoch_dirty_counter_users(), key=user_sort_key
-            )
-            shards.append(
-                {
-                    "shard": shard_index,
-                    "words": words,
-                    "word_data": shard.shared_array.packed_words(words),
-                    "counter_users": dirty_users,
-                    "counter_counts": [
-                        shard._cardinalities.get(user, 0) for user in dirty_users
-                    ],
-                    "ones_count": shard.shared_array.ones_count,
-                    "num_users": len(shard._cardinalities),
-                }
-            )
-            shard.clear_epoch_dirty()
+        changes, self._publish_cursors = self._collect_changes(self._publish_cursors)
         return {
-            "shards": shards,
+            "shards": changes,
             "elements_ingested": self._elements_ingested,
             "batches_ingested": self._batches_ingested,
         }
+
+    def _collect_changes(self, cursors: list[int]) -> tuple[list[dict], list[int]]:
+        """The shards' changes since ``cursors``, and the cursors that follow them.
+
+        The one collector behind both consumers of the change record.  Every
+        shard moves to a fresh generation, whose value becomes its next
+        cursor; the caller stores those once it has consumed the changes.
+        Each changed shard yields ``shard`` (its index), the sorted ``words``
+        with their ``word_data``, the sorted ``counter_users`` with their
+        ``counter_counts``, and the shard's exact ``ones_count`` and
+        ``num_users`` after the change.
+        """
+        changes = []
+        next_cursors = []
+        for shard_index, shard in enumerate(self._sketch.row_shards()):
+            array = shard.shared_array
+            cursor = cursors[shard_index]
+            next_cursors.append(array.advance_generation())
+            words = array.words_since(cursor)
+            users = sorted(shard.counter_users_since(cursor), key=user_sort_key)
+            if words.size == 0 and not users:
+                continue
+            changes.append(
+                {
+                    "shard": shard_index,
+                    "words": words,
+                    "word_data": array.packed_words(words),
+                    "counter_users": users,
+                    "counter_counts": [
+                        shard._cardinalities.get(user, 0) for user in users
+                    ],
+                    "ones_count": array.ones_count,
+                    "num_users": len(shard._cardinalities),
+                }
+            )
+        return changes, next_cursors
+
+    def _cursors_now(self) -> list[int]:
+        """Cursors that exclude every change made so far, one per shard."""
+        return [
+            shard.shared_array.advance_generation()
+            for shard in self._sketch.row_shards()
+        ]
+
+    def _journal_backlog(self) -> dict[str, int]:
+        """Words and counters changed since the journal's cursors."""
+        backlog = {"dirty_words": 0, "dirty_counters": 0}
+        for shard, cursor in zip(self._sketch.row_shards(), self._journal_cursors):
+            backlog["dirty_words"] += int(shard.shared_array.words_since(cursor).size)
+            backlog["dirty_counters"] += len(shard.counter_users_since(cursor))
+        return backlog
 
     @classmethod
     def from_state_bytes(
@@ -809,6 +847,9 @@ class SimilarityService:
         service._journal_path = journal_path or default_journal_path(path)
         service._checkpoint_id = state.checkpoint_id or None
         service._unreplayed_journal = unreplayed
+        # Snapshot plus replayed journal is the durable record: the journal
+        # collects only what changes from here on.
+        service._journal_cursors = service._cursors_now()
         index_state = state.extras.get(INDEX_SNAPSHOT_SECTION)
         if index_state is not None:
             index = BandedSketchIndex(state.sketch, service._index_config)

@@ -122,7 +122,7 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         """Wrap existing shard sketches without allocating new arrays.
 
         The copy-on-write epoch publisher assembles each frozen epoch from
-        per-shard views (unchanged shards carried over by reference, dirty
+        per-shard views (unchanged shards carried over by reference, changed
         shards re-wrapped around a patched overlay) and injects them here, so
         building a published ``ShardedVOS`` costs O(num_shards), not
         O(state).  ``seed`` must be the writer's seed: it derives the user
@@ -389,34 +389,6 @@ class ShardedVOS(VectorizedPairQueries, SimilaritySketch):
         totals = {"entries": 0, "capacity": 0, "hits": 0, "misses": 0}
         for shard in self._shards:
             for key, value in shard.sketch_cache_info().items():
-                totals[key] += value
-        return totals
-
-    # -- incremental persistence -----------------------------------------------------
-
-    def clear_dirty(self) -> None:
-        """Mark every shard's array words and counters clean (just persisted)."""
-        for shard in self._shards:
-            shard.clear_dirty()
-
-    def dirty_info(self) -> dict[str, int]:
-        """Pending un-persisted state summed over shards (words and counters)."""
-        totals = {"dirty_words": 0, "dirty_counters": 0}
-        for shard in self._shards:
-            for key, value in shard.dirty_info().items():
-                totals[key] += value
-        return totals
-
-    def clear_epoch_dirty(self) -> None:
-        """Mark every shard's epoch channel clean (a publish delta was taken)."""
-        for shard in self._shards:
-            shard.clear_epoch_dirty()
-
-    def epoch_dirty_info(self) -> dict[str, int]:
-        """State mutated since the last epoch publish, summed over shards."""
-        totals = {"dirty_words": 0, "dirty_counters": 0}
-        for shard in self._shards:
-            for key, value in shard.epoch_dirty_info().items():
                 totals[key] += value
         return totals
 

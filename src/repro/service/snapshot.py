@@ -363,8 +363,6 @@ def _restore_vos(
     if len(users) != counts.size or counts.size != parameters["num_users"]:
         raise SnapshotError("cardinality sections disagree with recorded user count")
     vos._cardinalities = dict(zip(users, counts.tolist()))
-    # A freshly restored sketch matches its durable record exactly.
-    vos.clear_dirty()
     return vos
 
 

@@ -189,33 +189,54 @@ class TestPackedBytesRoundTrip:
         assert bits.ones_count == 1
 
 
-class TestDirtyWordTracking:
-    """The changed-word bitmap behind delta checkpoints."""
+class TestChangeStamps:
+    """The per-word generation stamps behind delta checkpoints and epoch publishes."""
 
-    def test_fresh_array_is_clean(self):
+    def test_fresh_array_has_no_changes(self):
         bits = PackedBitArray(256)
-        assert bits.dirty_word_count == 0
-        assert bits.dirty_words().tolist() == []
+        assert bits.generation == PackedBitArray.FIRST_GENERATION
+        assert bits.words_since(PackedBitArray.FIRST_GENERATION).tolist() == []
 
-    def test_flip_and_set_mark_their_word(self):
+    def test_flip_and_set_stamp_their_word(self):
         bits = PackedBitArray(256)
         bits.flip(3)
         bits.set(130, 1)
-        assert bits.dirty_words().tolist() == [0, 2]
-        bits.clear_dirty()
-        assert bits.dirty_word_count == 0
-        # A set that changes nothing stays clean.
+        assert bits.words_since(PackedBitArray.FIRST_GENERATION).tolist() == [0, 2]
+        cursor = bits.advance_generation()
+        assert bits.words_since(cursor).tolist() == []
+        # A set that changes nothing stamps nothing.
         bits.set(130, 1)
-        assert bits.dirty_word_count == 0
+        assert bits.words_since(cursor).tolist() == []
 
-    def test_xor_bulk_marks_only_touched_words(self):
+    def test_xor_bulk_stamps_only_touched_words(self):
         bits = PackedBitArray(64 * 5)
         bits.xor_bulk(np.array([0, 1, 64 * 3 + 2]))
-        assert bits.dirty_words().tolist() == [0, 3]
+        assert bits.words_since(PackedBitArray.FIRST_GENERATION).tolist() == [0, 3]
         # Cancelling repeats touch nothing.
-        bits.clear_dirty()
+        cursor = bits.advance_generation()
         bits.xor_bulk(np.array([7, 7]))
-        assert bits.dirty_word_count == 0
+        assert bits.words_since(cursor).tolist() == []
+
+    def test_cursors_are_independent(self):
+        bits = PackedBitArray(64 * 4)
+        first = PackedBitArray.FIRST_GENERATION
+        bits.flip(0)
+        second = bits.advance_generation()
+        bits.flip(64 * 2)
+        third = bits.advance_generation()
+        bits.flip(64 * 3)
+        # Taking a later cursor never hides changes from an earlier one.
+        assert bits.words_since(first).tolist() == [0, 2, 3]
+        assert bits.words_since(second).tolist() == [2, 3]
+        assert bits.words_since(third).tolist() == [3]
+
+    def test_advancing_keeps_the_version(self):
+        # Row caches key on the version: taking a cursor must not invalidate them.
+        bits = PackedBitArray(128)
+        bits.flip(5)
+        version = bits.version
+        bits.advance_generation()
+        assert bits.version == version
 
     def test_packed_words_match_full_serialization(self):
         import random
@@ -231,7 +252,7 @@ class TestDirtyWordTracking:
             assert chunk[: len(expected)] == expected
             assert all(byte == 0 for byte in chunk[len(expected) :])
 
-    def test_apply_packed_words_round_trips_dirty_state(self):
+    def test_apply_packed_words_round_trips_changed_words(self):
         import random
 
         rng = random.Random(4)
@@ -239,16 +260,31 @@ class TestDirtyWordTracking:
         target = PackedBitArray(300)
         for _ in range(64):
             source.flip(rng.randrange(300))
-        source.clear_dirty()
+        # Target starts from the source's state at the cursor.
+        target.load_packed_bytes(source.to_packed_bytes())
+        cursor = source.advance_generation()
         for _ in range(40):
             source.flip(rng.randrange(300))
-        words = source.dirty_words()
-        payload = source.packed_words(words)
-        # Target starts from the source's pre-mutation state.
-        target.load_packed_bytes(source.to_packed_bytes())
-        target.apply_packed_words(words, payload)
+        words = source.words_since(cursor)
+        target_cursor = target.advance_generation()
+        target.apply_packed_words(words, source.packed_words(words))
         assert target.to_list() == source.to_list()
         assert target.ones_count == source.ones_count
+        # Replayed words are stamped like any other mutation.
+        assert target.words_since(target_cursor).tolist() == words.tolist()
+
+    def test_patched_buffer_view_records_no_change(self):
+        source = PackedBitArray(200)
+        source.xor_bulk(np.array([1, 70, 199]))
+        words = source.words_since(PackedBitArray.FIRST_GENERATION)
+        view = PackedBitArray.from_byte_buffer(
+            np.zeros(200, dtype=np.uint8),
+            ones_count=0,
+            patch=(words, source.packed_words(words)),
+        )
+        assert view.to_list() == source.to_list()
+        assert view.ones_count == source.ones_count
+        assert view.words_since(PackedBitArray.FIRST_GENERATION).tolist() == []
 
     def test_apply_rejects_bad_payloads(self):
         bits = PackedBitArray(100)
@@ -262,11 +298,11 @@ class TestDirtyWordTracking:
         with pytest.raises(ConfigurationError, match="pad bits"):
             bits.apply_packed_words(np.array([1]), b"\xff" * 8)
 
-    def test_clear_and_load_mark_everything_dirty(self):
+    def test_clear_and_load_stamp_every_word(self):
         bits = PackedBitArray(128)
-        bits.clear_dirty()
+        cursor = bits.advance_generation()
         bits.clear()
-        assert bits.dirty_word_count == bits.num_words
-        bits.clear_dirty()
+        assert bits.words_since(cursor).size == bits.num_words
+        cursor = bits.advance_generation()
         bits.load_packed_bytes(bytes(16))
-        assert bits.dirty_word_count == bits.num_words
+        assert bits.words_since(cursor).size == bits.num_words
